@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 
+from repro.gmm.model import _FIT_ENGINES
 from repro.utils.rng import RandomState
 
 _SIGNATURE_KINDS = ("responsibility", "pdf")
@@ -20,7 +21,6 @@ _NORMALIZATIONS = ("l1", "l2", "none")
 _FIT_MODES = ("stacked", "per_column")
 _VALUE_TRANSFORMS = ("none", "log_squash", "standardize")
 _COMPOSITIONS = ("concatenation", "aggregation", "autoencoder")
-_FIT_ENGINES = ("auto", "batched", "serial")
 _INDEX_BACKENDS = ("exact", "ivf", "pq")
 _INDEX_DTYPES = ("float64", "float32")
 
@@ -58,12 +58,15 @@ class GemConfig:
         restarts one at a time through the same primitives (bit-identical
         results, for debugging/benchmarking).
     fit_batch_size:
-        Rows per E-step chunk while *fitting* the shared GMM. ``None``
-        uses the engine default (2048); beyond the input stack itself (and
-        transient O(n) seeding scratch such as the quantile sort), fit-time
-        peak memory is ``O(fit_batch_size * n_init * n_components)`` floats
-        no matter how many values are stacked, and every batch size yields
-        bit-identical parameters (reductions run on a fixed block grid).
+        Distinct values per E-step chunk while *fitting* the shared GMM.
+        The fit runs on the stack's unique values weighted by their counts,
+        so chunks are rows of that grid. ``None`` uses the engine default
+        (2048); beyond the input stack, the grid and the transient
+        ``O(n)`` sort that builds it, fit-time peak memory is
+        ``O(fit_batch_size * n_init * n_components)`` floats no matter how
+        many values are stacked, and every batch size yields bit-identical
+        parameters (reductions run on a fixed block grid over the unique
+        values).
     gmm_init:
         EM initialisation: ``"quantile"`` (default — density-proportional
         component seeding, essential on heavy-tailed raw value stacks),
@@ -90,8 +93,10 @@ class GemConfig:
         Maximum number of stacked values scored per chunk on the transform
         path. ``None`` (default) scores the whole stack in one pass; any
         positive value bounds peak responsibility-matrix memory at
-        ``batch_size * n_components`` floats regardless of corpus size. The
-        chunked and unchunked paths agree to machine precision.
+        ``batch_size * n_components`` floats regardless of corpus size.
+        Each distinct value of a chunk is scored once (bit-identical to
+        scoring every value). The chunked and unchunked paths agree to
+        machine precision.
     cache_signatures:
         Memoise pooled signature rows by column content hash, so columns
         repeated within a corpus or across ``transform`` calls are scored

@@ -117,6 +117,11 @@ class GemEmbedder:
         config: GemConfig | None = None,
         **overrides: object,
     ) -> None:
+        if isinstance(n_components, GemConfig):
+            raise TypeError(
+                "GemEmbedder's first positional argument is n_components; pass a "
+                "GemConfig as a keyword: GemEmbedder(config=GemConfig(...))"
+            )
         cfg = config if config is not None else GemConfig()
         fields = {f.name for f in dataclasses.fields(GemConfig)}
         unknown = set(overrides) - fields

@@ -96,10 +96,13 @@ def mean_component_probabilities(
     chunked scorer: with ``batch_size`` set, only one
     ``(batch_size, n_components)`` block of responsibilities is live at a
     time, so peak memory is bounded no matter how many values the corpus
-    stacks. Chunks are column-aligned (:func:`column_chunks`), so a
-    column's pooled row is **bit-identical whether it is scored alone or
-    inside any batch** — scoring is row-wise and each column's values are
-    summed in chunks determined only by its own length. Columns no longer
+    stacks. Within a chunk each distinct value is scored once and its row
+    gathered back to every occurrence; scoring is row-wise, so the pooled
+    rows are bit-identical to scoring every value. Chunks are
+    column-aligned (:func:`column_chunks`), so a column's pooled row is
+    **bit-identical whether it is scored alone or inside any batch** —
+    scoring is row-wise and each column's values are summed in chunks
+    determined only by its own length. Columns no longer
     than ``batch_size`` additionally match the unchunked pass bitwise; a
     column split across chunks matches it to machine precision (the
     partial sums associate differently).
@@ -125,11 +128,13 @@ def mean_component_probabilities(
     if not columns:
         raise ValueError("columns must not be empty")
     sizes, offsets = column_offsets(columns)
-    stacked = np.concatenate([np.asarray(c, dtype=float).ravel() for c in columns]).reshape(-1, 1)
+    stacked = np.concatenate([np.asarray(c, dtype=float).ravel() for c in columns])
     score = gmm.predict_proba if kind == "responsibility" else gmm.component_pdf
     sums = np.zeros((len(columns), gmm.means_.shape[0]))
     for rows in column_chunks(offsets, batch_size):
-        per_value = score(stacked[rows])
+        # Row-wise scoring: one row per distinct value, gathered back.
+        distinct, inverse = np.unique(stacked[rows], return_inverse=True)
+        per_value = score(distinct.reshape(-1, 1))[inverse]
         # Columns overlapping this chunk: `first` contains row `rows.start`;
         # the segment boundaries are the column starts strictly inside the
         # chunk, shifted to chunk-local coordinates.

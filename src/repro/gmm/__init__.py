@@ -15,8 +15,9 @@ fully-tested implementation:
 * :class:`~repro.gmm.model.FitPlan` — the block-aligned chunking plan of
   the streaming fit engine (``fit_batch_size``), whose reductions make
   chunked and unchunked fits bit-identical;
-* :func:`~repro.gmm.kmeans.seed_restarts_1d` — restart-batched 1-D seeding
-  shared by the serial and batched fit engines;
+* :func:`~repro.gmm.kmeans.seed_restarts_1d` — restart-batched,
+  count-weighted 1-D seeding on the unique-value grid, shared by the
+  serial and batched fit engines;
 * :func:`~repro.gmm.selection.select_n_components_bic` — the BIC sweep the
   paper uses to argue component-count robustness (§4.1.4, Figure 4), now a
   warm-started parallel sweep returning a

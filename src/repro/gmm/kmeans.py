@@ -26,6 +26,8 @@ def kmeans_plus_plus_init(
     X: np.ndarray,
     n_clusters: int,
     rng: np.random.Generator,
+    *,
+    sample_weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Choose ``n_clusters`` seed centroids with the k-means++ strategy.
 
@@ -33,27 +35,40 @@ def kmeans_plus_plus_init(
     with probability proportional to its squared distance to the nearest
     centre already chosen (Arthur & Vassilvitskii, 2007).
 
+    ``sample_weight`` gives each row a multiplicity (the counts of a
+    unique-value grid): every draw is then proportional to ``weight`` times
+    its usual probability, which is the draw the expanded data would make.
+    The feasibility check uses the total weight, so a grid with fewer rows
+    than clusters is fine as long as it stands for enough samples.
+
     Returns
     -------
     numpy.ndarray of shape (n_clusters, n_features)
     """
     X = check_array_2d(X, "X")
     n_samples = X.shape[0]
-    if n_clusters > n_samples:
-        raise ValueError(f"n_clusters={n_clusters} exceeds n_samples={n_samples}")
+    w = None if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    available = n_samples if w is None else float(w.sum())
+    if n_clusters > available:
+        raise ValueError(f"n_clusters={n_clusters} exceeds n_samples={available}")
+
+    def _uniform() -> int:
+        if w is None:
+            return int(rng.integers(n_samples))
+        return int(rng.choice(n_samples, p=w / w.sum()))
+
     centers = np.empty((n_clusters, X.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n_samples))
-    centers[0] = X[first]
+    centers[0] = X[_uniform()]
     closest_sq = np.sum((X - centers[0]) ** 2, axis=1)
     for k in range(1, n_clusters):
-        total = closest_sq.sum()
+        mass = closest_sq if w is None else w * closest_sq
+        total = mass.sum()
         if total <= 0:
             # All remaining points coincide with an existing centre; fall back
             # to uniform sampling so we still return the requested count.
-            idx = int(rng.integers(n_samples))
+            idx = _uniform()
         else:
-            probs = closest_sq / total
-            idx = int(rng.choice(n_samples, p=probs))
+            idx = int(rng.choice(n_samples, p=mass / total))
         centers[k] = X[idx]
         dist_sq = np.sum((X - centers[k]) ** 2, axis=1)
         closest_sq = np.minimum(closest_sq, dist_sq)
@@ -185,6 +200,7 @@ class KMeans:
 
 def _lloyd_restarts_1d(
     x: np.ndarray,
+    counts: np.ndarray,
     centers: np.ndarray,
     *,
     max_iter: int,
@@ -194,17 +210,21 @@ def _lloyd_restarts_1d(
 ) -> np.ndarray:
     """Lloyd iterations for ``R`` stacked 1-D restarts at once.
 
-    ``centers`` has shape ``(R, k)``; the refined centres are returned in
-    the same shape. Nothing of size ``O(n)`` is ever materialised: the
-    assignment step is vectorised across all still-active restarts and
-    streamed over sample chunks of ``batch_size`` rows, and the centre
-    updates accumulate per-cluster counts/sums via ``np.bincount`` segment
-    sums *inside* each chunk, so peak memory is ``O(batch_size * R * k)``
-    no matter how many values are stacked.
+    ``x`` is a value grid and ``counts`` the multiplicity of each grid row
+    (the unique values of a stack and their counts, or any values with
+    unit counts): cluster sizes, sums and inertia are count-weighted, so
+    the grid stands in exactly for the expanded stack. ``centers`` has
+    shape ``(R, k)``; the refined centres are returned in the same shape.
+    Nothing of size ``O(len(x))`` is ever materialised: the assignment step
+    is vectorised across all still-active restarts and streamed over row
+    chunks of ``batch_size``, and the centre updates accumulate
+    per-cluster counts/sums via ``np.bincount`` segment sums *inside* each
+    chunk, so peak memory is ``O(batch_size * R * k)`` no matter how many
+    rows the grid has.
 
     All cross-chunk accumulations (cluster sums, inertia) run on a fixed
     ``REDUCE_BLOCK``-row grid and per-cluster contributions arrive in
-    ascending sample order, so the refined centres are bit-identical for
+    ascending row order, so the refined centres are bit-identical for
     every ``batch_size`` and for any number of co-batched restarts — the
     property the fit engine's serial/batched and chunked/unchunked
     equivalence guarantees rest on.
@@ -233,7 +253,7 @@ def _lloyd_restarts_1d(
         ``(A, k)``, inertia ``(A,)`` and farthest-point index ``(A,)``.
         """
         A = idx.size
-        counts = np.zeros(A * k)
+        sizes = np.zeros(A * k)
         sums = np.zeros(A * k)
         inertia = np.zeros(A)
         far_val = np.full(A, -np.inf)
@@ -243,35 +263,36 @@ def _lloyd_restarts_1d(
         for start in range(0, n, step):
             stop = min(start + step, n)
             xc = x[start:stop]
+            cc = counts[start:stop]
             d2 = (xc[:, None, None] - cen[None, :, :]) ** 2  # (B, A, k)
             lab = np.argmin(d2, axis=2)  # (B, A)
             dmin = np.take_along_axis(d2, lab[:, :, None], axis=2)[:, :, 0]
             flat = lab + offsets
             # Contiguous per-restart rows keep the inertia reduction tree
             # independent of how many restarts are co-batched.
-            dmin_t = np.ascontiguousarray(dmin.T)  # (A, B)
+            wdmin_t = np.ascontiguousarray(dmin.T) * cc  # (A, B)
             for s in range(0, xc.size, REDUCE_BLOCK):
+                shape = flat[s : s + REDUCE_BLOCK].shape
                 fb = flat[s : s + REDUCE_BLOCK].ravel()
-                counts += np.bincount(fb, minlength=A * k)
-                xb = np.broadcast_to(
-                    xc[s : s + REDUCE_BLOCK, None], flat[s : s + REDUCE_BLOCK].shape
-                ).ravel()
-                sums += np.bincount(fb, weights=xb, minlength=A * k)
-                inertia += dmin_t[:, s : s + REDUCE_BLOCK].sum(axis=1)
+                cb = np.broadcast_to(cc[s : s + REDUCE_BLOCK, None], shape).ravel()
+                xb = np.broadcast_to(xc[s : s + REDUCE_BLOCK, None], shape).ravel()
+                sizes += np.bincount(fb, weights=cb, minlength=A * k)
+                sums += np.bincount(fb, weights=cb * xb, minlength=A * k)
+                inertia += wdmin_t[:, s : s + REDUCE_BLOCK].sum(axis=1)
             chunk_arg = np.argmax(dmin, axis=0)  # (A,)
             chunk_val = dmin[chunk_arg, np.arange(A)]
             better = chunk_val > far_val
             far_val[better] = chunk_val[better]
             far_idx[better] = chunk_arg[better] + start
-        return counts.reshape(A, k), sums.reshape(A, k), inertia, far_idx
+        return sizes.reshape(A, k), sums.reshape(A, k), inertia, far_idx
 
     for _ in range(max_iter):
         if active.size == 0:
             break
-        counts, sums, inertia, far_idx = _assign_stats(active)
+        sizes, sums, inertia, far_idx = _assign_stats(active)
         for a, r in enumerate(active):
-            nonempty = counts[a] > 0
-            centers[r, nonempty] = sums[a, nonempty] / counts[a, nonempty]
+            nonempty = sizes[a] > 0
+            centers[r, nonempty] = sums[a, nonempty] / sizes[a, nonempty]
             if repair_empty and not np.all(nonempty):
                 centers[r, ~nonempty] = x[far_idx[a]]
         if tol is not None:
@@ -281,15 +302,55 @@ def _lloyd_restarts_1d(
     return centers
 
 
+def grid_quantile(x: np.ndarray, counts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(np.repeat(x, counts), q)`` without expanding the grid.
+
+    ``x`` must be sorted ascending and ``counts`` holds positive integer
+    multiplicities. The default ``"linear"`` method is reproduced step for
+    step — virtual index ``(N - 1) * q``, its floor and ceiling positions
+    in the expanded order, located here by a search over ``cumsum(counts)``,
+    and numpy's two-sided lerp — so the result is bit-identical to the
+    quantile of the expanded stack.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    cum = np.cumsum(counts).astype(np.intp)
+    n = int(cum[-1])
+    virtual = (n - 1) * q
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    # numpy maps indexes at or past the last position to the last element
+    # (index -1), and derives gamma from that mapped index.
+    above = virtual >= n - 1
+    prev[above] = -1
+    nxt[above] = -1
+    gamma = virtual - prev
+    prev_pos = np.where(above, n - 1, prev).astype(np.intp)
+    nxt_pos = np.where(above, n - 1, nxt).astype(np.intp)
+    a = x[np.searchsorted(cum, prev_pos, side="right")]
+    b = x[np.searchsorted(cum, nxt_pos, side="right")]
+    diff = b - a
+    out = a + diff * gamma
+    upper = gamma >= 0.5
+    out[upper] = (b - diff * (1 - gamma))[upper]
+    return out
+
+
 def seed_restarts_1d(
     x: np.ndarray,
     n_components: int,
     seeds: list[int],
     init: str,
     *,
+    counts: np.ndarray | None = None,
     batch_size: int | None = None,
 ) -> np.ndarray:
     """Seed every GMM restart at once: ``(R, m)`` refined centres, 1-D data.
+
+    ``x`` is either a raw value stack (``counts=None``; its unique values
+    and their counts are taken here) or an ascending value grid with the
+    multiplicity of each row in ``counts`` — the unique grid the fit engine
+    runs on. Every step is count-weighted, so a grid seeds exactly as its
+    expanded stack would (up to floating-point summation order).
 
     One call covers all ``len(seeds)`` restarts; restart ``r`` derives its
     stochastic choices from ``np.random.default_rng(seeds[r])`` only, and
@@ -297,24 +358,29 @@ def seed_restarts_1d(
     centre row is bit-identical no matter how many restarts share the call
     — the serial and batched fit engines see the same seeds. The
     refinement streams over ``batch_size``-row chunks and never stores a
-    per-sample array (see :func:`_lloyd_restarts_1d`).
+    per-row array (see :func:`_lloyd_restarts_1d`).
 
     ``init`` follows :class:`~repro.gmm.model.GaussianMixture`:
 
-    * ``"quantile"`` — centres at jittered data quantiles, refined by 5
-      Lloyd rounds without empty-cluster repair (density-proportional
-      seeding for heavy-tailed stacks);
-    * ``"kmeans"`` — per-restart k-means++ centres refined by up to 15
-      Lloyd rounds with empty-cluster repair (the seeding the serial path
-      historically ran through :class:`KMeans`).
+    * ``"quantile"`` — centres at jittered quantiles of the stack (computed
+      exactly from the grid by :func:`grid_quantile`), refined by 5 Lloyd
+      rounds without empty-cluster repair (density-proportional seeding
+      for heavy-tailed stacks);
+    * ``"kmeans"`` — per-restart count-weighted k-means++ centres refined
+      by up to 15 Lloyd rounds with empty-cluster repair (the seeding the
+      serial path historically ran through :class:`KMeans`).
 
-    ``"random"`` initialisation draws dense responsibilities, not centres,
-    and is handled inside the fit engine.
+    ``"random"`` initialisation draws responsibilities, not centres, and is
+    handled inside the fit engine.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
+    if counts is None:
+        x, counts = np.unique(x, return_counts=True)
+    counts = np.asarray(counts, dtype=np.float64)
     n_components = check_positive_int(n_components, "n_components")
-    if x.size < n_components:
-        raise ValueError(f"n_samples={x.size} must be >= n_components={n_components}")
+    n_samples = float(counts.sum())
+    if n_samples < n_components:
+        raise ValueError(f"n_samples={n_samples:.0f} must be >= n_components={n_components}")
     R = len(seeds)
     if init == "quantile":
         qs = np.linspace(0, 1, n_components + 2)[1:-1]
@@ -323,18 +389,18 @@ def seed_restarts_1d(
             rng = np.random.default_rng(seed)
             jitter = rng.uniform(-0.4, 0.4, size=n_components) / (n_components + 1)
             q_all[r] = np.clip(qs + jitter, 0.0, 1.0)
-        # One shared sort serves every restart's quantile lookup.
-        centers = np.quantile(x, q_all.ravel()).reshape(R, n_components)
+        # One cumulative-count search serves every restart's quantile lookup.
+        centers = grid_quantile(x, counts, q_all.ravel()).reshape(R, n_components)
         return _lloyd_restarts_1d(
-            x, centers, max_iter=5, tol=None, repair_empty=False, batch_size=batch_size
+            x, counts, centers, max_iter=5, tol=None, repair_empty=False, batch_size=batch_size
         )
     if init == "kmeans":
         X2 = x.reshape(-1, 1)
         centers = np.empty((R, n_components))
         for r, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
-            centers[r] = kmeans_plus_plus_init(X2, n_components, rng)[:, 0]
+            centers[r] = kmeans_plus_plus_init(X2, n_components, rng, sample_weight=counts)[:, 0]
         return _lloyd_restarts_1d(
-            x, centers, max_iter=15, tol=1e-6, repair_empty=True, batch_size=batch_size
+            x, counts, centers, max_iter=15, tol=1e-6, repair_empty=True, batch_size=batch_size
         )
     raise ValueError(f"init must be 'quantile' or 'kmeans' for centre seeding, got {init!r}")

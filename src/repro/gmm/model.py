@@ -85,8 +85,11 @@ class BatchPlan:
 class FitPlan(BatchPlan):
     """Row-chunking plan for the streaming fit engine.
 
-    Extends :class:`BatchPlan` with one extra guarantee the training path
-    needs: every chunk boundary falls on a multiple of ``REDUCE_BLOCK``
+    The rows are those of the value grid the engine fits — the distinct
+    values of the stack, each weighted by its count — so ``n_samples``
+    here is the number of distinct values. Extends :class:`BatchPlan`
+    with one extra guarantee the training path needs: every chunk
+    boundary falls on a multiple of ``REDUCE_BLOCK``
     (the requested ``batch_size`` is rounded down to the nearest multiple,
     never below one block). Combined with :func:`_block_accumulate`, which
     folds chunk rows into the M-step sufficient statistics in fixed
@@ -135,23 +138,44 @@ def _logsumexp(a: np.ndarray, axis: int = 1) -> np.ndarray:
     return out
 
 
+def _unique_grid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct values of a 1-D stack and their counts.
+
+    The fit engine runs on this grid instead of the stack: every
+    per-sample sum of EM and of its seeding becomes a count-weighted sum
+    over distinct values, which has the same value (up to floating-point
+    summation order), so the likelihood and the fixed points are those of
+    the full stack while each pass touches one row per distinct value.
+    """
+    values, counts = np.unique(x, return_counts=True)
+    return values, counts.astype(np.float64)
+
+
 class _BatchedEM:
-    """Restart-stacked streaming EM core for 1-D mixtures.
+    """Restart-stacked streaming EM core for 1-D mixtures on a value grid.
+
+    ``x`` is a value grid and ``counts`` the multiplicity of each row: the
+    unique values of the stacked corpus and how often each occurs (the raw
+    stack with unit counts is the same computation, row by row). Every
+    sufficient statistic is count-weighted — ``sum c*gamma``,
+    ``sum c*gamma*x``, ``sum c*gamma*(x - c0)^2`` and ``sum c*log p(x)`` —
+    and divided by ``n = sum c``, so the fit is EM on the full stack while
+    each sweep visits one row per distinct value.
 
     Runs ``A`` restarts as one vectorized EM over parameter arrays of shape
     ``(A, m)``: every iteration performs a single fused E-step/M-step for
     all restarts at once, streaming the E-step over :class:`FitPlan` chunks
-    so peak memory is ``O(batch_size * A * m)`` regardless of the corpus
-    size, and accumulating the M-step sufficient statistics with
+    of grid rows so peak memory is ``O(batch_size * A * m)`` beyond the
+    grid itself, and accumulating the M-step sufficient statistics with
     :func:`_block_accumulate` so results are bit-identical for every
     ``fit_batch_size``. Restarts whose lower bound converges are compressed
     out of the stacked arrays and stop contributing compute.
 
     Numerics mirror the legacy per-restart path (log-sum-exp E-step with
     the uniform-posterior fallback for fully-underflowed rows); the second
-    moment is accumulated around the *current* means ``c`` — reusing the
+    moment is accumulated around the *current* means ``c0`` — reusing the
     squared deviations the E-step already computed — and the M-step recovers
-    the exact centred variance via ``S2c/nk - (mu_new - c)^2``, which avoids
+    the exact centred variance via ``S2c/nk - (mu_new - c0)^2``, which avoids
     the catastrophic cancellation a raw ``E[x^2] - mu^2`` update would
     suffer on far-from-origin value stacks.
     """
@@ -159,6 +183,7 @@ class _BatchedEM:
     def __init__(
         self,
         x: np.ndarray,
+        counts: np.ndarray,
         n_components: int,
         *,
         tol: float,
@@ -167,6 +192,8 @@ class _BatchedEM:
         plan: FitPlan,
     ) -> None:
         self.x = x
+        self.counts = counts
+        self.n = float(counts.sum())
         self.m = n_components
         self.tol = tol
         self.max_iter = max_iter
@@ -182,47 +209,47 @@ class _BatchedEM:
 
         Streams two hard-assignment passes over the plan: the first
         accumulates per-component counts and first moments via flat
-        ``np.bincount`` segment sums, the second accumulates squared
-        deviations around the freshly computed means — the centred initial
-        M-step in ``O(batch_size * R * m)`` memory, never materialising a
-        per-sample labels array. Accumulation runs on the fixed
-        ``REDUCE_BLOCK`` grid with per-component contributions in ascending
-        sample order, so the result is bit-identical for every
+        count-weighted ``np.bincount`` segment sums, the second accumulates
+        squared deviations around the freshly computed means — the centred
+        initial M-step in ``O(batch_size * R * m)`` memory, never
+        materialising a per-row labels array. Accumulation runs on the
+        fixed ``REDUCE_BLOCK`` grid with per-component contributions in
+        ascending row order, so the result is bit-identical for every
         ``fit_batch_size`` and for any number of co-batched restarts.
         """
         x, m = self.x, self.m
-        n = x.size
         R = centers.shape[0]
         block = FitPlan.REDUCE_BLOCK
         offsets = (np.arange(R) * m)[None, :]
         ridx = np.arange(R)[None, :]
 
         def _pass(means: np.ndarray | None) -> tuple[np.ndarray, ...]:
-            counts = np.zeros(R * m)
+            sizes = np.zeros(R * m)
             s1 = np.zeros(R * m)
             s2 = np.zeros(R * m)
             for rows in self.plan:
                 xc = x[rows]
+                cc = self.counts[rows]
                 d2 = (xc[:, None, None] - centers[None]) ** 2  # (B, R, m)
                 lab = np.argmin(d2, axis=2)  # (B, R)
                 flat = lab + offsets
                 if means is not None:
-                    dev2 = (xc[:, None] - means[ridx, lab]) ** 2  # (B, R)
+                    wdev2 = (xc[:, None] - means[ridx, lab]) ** 2 * cc[:, None]  # (B, R)
                 for s in range(0, xc.size, block):
                     fb = flat[s : s + block].ravel()
                     if means is None:
-                        counts += np.bincount(fb, minlength=R * m)
-                        xb = np.broadcast_to(
-                            xc[s : s + block, None], flat[s : s + block].shape
-                        ).ravel()
-                        s1 += np.bincount(fb, weights=xb, minlength=R * m)
+                        shape = flat[s : s + block].shape
+                        cb = np.broadcast_to(cc[s : s + block, None], shape).ravel()
+                        xb = np.broadcast_to(xc[s : s + block, None], shape).ravel()
+                        sizes += np.bincount(fb, weights=cb, minlength=R * m)
+                        s1 += np.bincount(fb, weights=cb * xb, minlength=R * m)
                     else:
-                        s2 += np.bincount(fb, weights=dev2[s : s + block].ravel(), minlength=R * m)
-            return counts, s1, s2
+                        s2 += np.bincount(fb, weights=wdev2[s : s + block].ravel(), minlength=R * m)
+            return sizes, s1, s2
 
-        counts, s1, _ = _pass(None)
-        nk = counts.reshape(R, m) + 10.0 * np.finfo(float).tiny
-        weights = nk / n
+        sizes, s1, _ = _pass(None)
+        nk = sizes.reshape(R, m) + 10.0 * np.finfo(float).tiny
+        weights = nk / self.n
         means = s1.reshape(R, m) / nk
         _, _, s2 = _pass(means)
         var = s2.reshape(R, m) / nk + self.reg_covar
@@ -231,11 +258,12 @@ class _BatchedEM:
     def initial_from_random(self, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Initial parameters for ONE restart from random responsibilities.
 
-        The ``init='random'`` path. Responsibility rows are drawn and
-        row-normalised one ``REDUCE_BLOCK`` of samples at a time — never as
-        a dense ``(n, m)`` matrix — and the second pass re-draws the
-        identical stream from a fresh generator on the same seed, so peak
-        memory is ``O(REDUCE_BLOCK * m)`` and the result is independent of
+        The ``init='random'`` path: one random responsibility row per grid
+        row, weighted by its count. Rows are drawn and row-normalised one
+        ``REDUCE_BLOCK`` at a time — never as a dense ``(n, m)`` matrix —
+        and the second pass re-draws the identical stream from a fresh
+        generator on the same seed, so peak memory is
+        ``O(REDUCE_BLOCK * m)`` and the result is independent of
         ``fit_batch_size`` (the fixed block grid is the only chunking).
         """
         x = self.x
@@ -246,6 +274,7 @@ class _BatchedEM:
             for start in range(0, n, block):
                 resp = rng.random((min(block, n - start), self.m))
                 resp /= resp.sum(axis=1, keepdims=True)
+                resp *= self.counts[start : start + resp.shape[0], None]
                 yield start, resp
 
         nk = np.zeros(self.m)
@@ -254,7 +283,7 @@ class _BatchedEM:
             nk += resp.sum(axis=0)
             s1 += (resp * x[start : start + resp.shape[0], None]).sum(axis=0)
         nk += 10.0 * np.finfo(float).tiny
-        weights = nk / n
+        weights = nk / self.n
         means = s1 / nk
         s2 = np.zeros(self.m)
         for start, resp in _blocks(np.random.default_rng(seed)):
@@ -270,11 +299,12 @@ class _BatchedEM:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One streamed E-step over the plan for every stacked restart.
 
-        Returns block-accumulated sufficient statistics ``(nk, s1, s2c,
-        ll_sum)`` where ``s2c`` is the second moment around the current
-        means and ``ll_sum`` the per-restart sum of log marginal
-        likelihoods. A single ``exp`` pass per chunk produces the
-        responsibilities (the legacy path pays two), and all large
+        Returns block-accumulated, count-weighted sufficient statistics
+        ``(nk, s1, s2c, ll_sum)`` where ``s2c`` is the second moment around
+        the current means and ``ll_sum`` the per-restart sum of log
+        marginal likelihoods over the stack. A single ``exp`` pass per
+        chunk produces the responsibilities (the legacy path pays two), the
+        counts are folded into their normalisation, and all large
         temporaries are reused across chunks.
         """
         A, m = weights.shape
@@ -292,6 +322,7 @@ class _BatchedEM:
         tmp = np.empty((width, A, m))
         for rows in self.plan:
             xc = self.x[rows]
+            cc = self.counts[rows]
             b = xc.size
             sq_b, prob_b, tmp_b = sq[:b], prob[:b], tmp[:b]
             with np.errstate(over="ignore", divide="ignore"):
@@ -317,7 +348,11 @@ class _BatchedEM:
                 log_norm = np.log(sumexp[..., 0]) + amax[..., 0]
                 if any_degenerate:
                     log_norm[degenerate] = -np.inf
-                prob_b /= sumexp
+                # c * gamma in one pass: the posterior normalised and
+                # weighted by the row's count.
+                np.divide(cc[:, None, None], sumexp, out=sumexp)
+                prob_b *= sumexp
+                log_norm *= cc[:, None]
             _block_accumulate(nk, prob_b)
             np.multiply(prob_b, xc[:, None, None], out=tmp_b)
             _block_accumulate(s1, tmp_b)
@@ -343,7 +378,7 @@ class _BatchedEM:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Eqs. 3-5 from sufficient statistics accumulated around ``shift``."""
         nk = nk + 10.0 * np.finfo(float).tiny
-        weights = nk / self.x.size
+        weights = nk / self.n
         means = s1 / nk
         var = s2 / nk - (means - shift) ** 2 + self.reg_covar
         # The legacy centred M-step guarantees var >= reg_covar; the shifted
@@ -361,11 +396,11 @@ class _BatchedEM:
 
         Returns ``(weights, means, variances, lower_bounds, n_iters,
         converged)`` with the restart axis first. Convergence is judged per
-        restart on the change of mean per-sample log-likelihood; converged
-        restarts are frozen and compressed out of the working arrays.
+        restart on the change of mean per-sample log-likelihood (the sum
+        over the stack divided by ``n = sum c``); converged restarts are
+        frozen and compressed out of the working arrays.
         """
         R, m = weights.shape
-        n = self.x.size
         out_w = weights.copy()
         out_mu = means.copy()
         out_var = variances.copy()
@@ -377,7 +412,7 @@ class _BatchedEM:
         for it in range(1, self.max_iter + 1):
             nk, s1, s2, ll = self.sweep(w, mu, var)
             w, mu, var = self.m_step(nk, s1, s2, mu)
-            new_bound = ll / n
+            new_bound = ll / self.n
             with np.errstate(invalid="ignore"):
                 delta = np.abs(new_bound - bounds[active])
             done = delta < self.tol  # False for the first iteration's inf/nan
@@ -423,17 +458,21 @@ class GaussianMixture:
         components on the tail and leave the dense bands unresolved.
     fit_engine:
         ``"auto"`` (default) runs the restart-vectorized streaming engine
-        for 1-D data and the per-restart full-matrix loop otherwise;
+        for 1-D data and the per-restart full-matrix loop otherwise. The
+        streaming engine fits the distinct values of the stack weighted by
+        their counts (same likelihood, same fixed points, one row per
+        distinct value);
         ``"batched"`` forces the streaming engine (1-D only);
         ``"serial"`` runs restarts one at a time through the same streaming
         primitives (1-D) or the legacy loop (multivariate). The batched and
         serial 1-D paths are bit-identical per restart.
     fit_batch_size:
-        Rows per E-step chunk during fitting. ``None`` resolves to
+        Distinct values per E-step chunk during 1-D fitting (the engine's
+        rows are the unique-value grid). ``None`` resolves to
         ``FitPlan.DEFAULT_BATCH``; any value is rounded down to a multiple
         of ``FitPlan.REDUCE_BLOCK`` so every chunking yields bit-identical
-        parameters. Peak fit memory for 1-D data is
-        ``O(fit_batch_size * n_init * n_components)``.
+        parameters. Beyond the grid and the sort that builds it, peak fit
+        memory for 1-D data is ``O(fit_batch_size * n_init * n_components)``.
     random_state:
         Seed or generator.
 
@@ -493,11 +532,13 @@ class GaussianMixture:
 
         1-D input is accepted and treated as a single feature, matching the
         paper's use on stacked column values. On 1-D data the restarts run
-        through the streaming engine (see ``fit_engine``):
-        all ``n_init`` restarts advance together as one vectorized EM with
-        per-restart convergence masking, and the E-step streams over
-        ``fit_batch_size``-row chunks so peak memory never scales with the
-        corpus.
+        through the streaming engine (see ``fit_engine``) on the distinct
+        values weighted by their counts: all ``n_init`` restarts advance
+        together as one vectorized EM with per-restart convergence masking,
+        and the E-step streams over ``fit_batch_size``-row chunks of that
+        grid so peak memory never scales with the corpus. ``n_samples``
+        counts every value, so a stack may have fewer distinct values than
+        components.
         """
         X = check_array_2d(X, "X")
         if X.shape[0] < self.n_components:
@@ -505,7 +546,8 @@ class GaussianMixture:
         engine = self._resolve_engine(X.shape[1])
         seeds = spawn_seeds(self.random_state, self.n_init)
         if X.shape[1] == 1:
-            chosen = self._fit_1d(X[:, 0], seeds, stacked=(engine == "batched"))
+            values, counts = _unique_grid(X[:, 0])
+            chosen = self._fit_1d(values, counts, seeds, stacked=(engine == "batched"))
         else:
             best: tuple[float, dict] | None = None
             for seed in seeds:
@@ -533,24 +575,33 @@ class GaussianMixture:
             return "batched" if n_features == 1 else "serial"
         return self.fit_engine
 
-    def _fit_1d(self, x: np.ndarray, seeds: list[int], *, stacked: bool) -> dict:
+    def _engine(self, x: np.ndarray, counts: np.ndarray) -> _BatchedEM:
+        """The streaming 1-D EM over grid ``x`` with multiplicities ``counts``."""
+        return _BatchedEM(
+            x,
+            counts,
+            self.n_components,
+            tol=self.tol,
+            max_iter=self.max_iter,
+            reg_covar=self.reg_covar,
+            plan=FitPlan(x.size, self.fit_batch_size),
+        )
+
+    def _fit_1d(
+        self, x: np.ndarray, counts: np.ndarray, seeds: list[int], *, stacked: bool
+    ) -> dict:
         """Run all restarts through the streaming 1-D engine.
 
+        ``x`` is an ascending value grid and ``counts`` its multiplicities
+        (``fit`` passes the unique values of the stack; the expanded stack
+        with unit counts gives the same fit up to summation order).
         ``stacked=True`` advances every restart together in one vectorized
         EM (the batched engine); ``stacked=False`` runs the same streaming
         primitives one restart at a time (the serial engine). Seeding and
         per-restart arithmetic are shared, so both orders produce
         bit-identical parameters and pick the same winning restart.
         """
-        plan = FitPlan(x.size, self.fit_batch_size)
-        em = _BatchedEM(
-            x,
-            self.n_components,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            reg_covar=self.reg_covar,
-            plan=plan,
-        )
+        em = self._engine(x, counts)
         R = len(seeds)
         m = self.n_components
         if self.init == "random":
@@ -560,7 +611,9 @@ class GaussianMixture:
             for r, seed in enumerate(seeds):
                 w0[r], mu0[r], var0[r] = (a[0] for a in em.initial_from_random(seed))
         else:
-            centers = seed_restarts_1d(x, m, seeds, self.init, batch_size=plan.effective_batch_size)
+            centers = seed_restarts_1d(
+                x, m, seeds, self.init, counts=counts, batch_size=em.plan.effective_batch_size
+            )
             w0, mu0, var0 = em.initial_from_centers(centers)
         if stacked:
             out_w, out_mu, out_var, bounds, n_iters, converged = em.run(w0, mu0, var0)
@@ -597,8 +650,8 @@ class GaussianMixture:
 
         The warm-started BIC sweep uses this to refine split parameters from
         a smaller converged mixture. 1-D data streams through the batched
-        engine; multivariate data runs the full-matrix loop. Parameter
-        shapes must match ``n_components``.
+        engine on its unique-value grid; multivariate data runs the
+        full-matrix loop. Parameter shapes must match ``n_components``.
         """
         X = check_array_2d(X, "X")
         if X.shape[0] < self.n_components:
@@ -621,15 +674,7 @@ class GaussianMixture:
                 f"got {covariances.shape}"
             )
         if d == 1:
-            plan = FitPlan(X.shape[0], self.fit_batch_size)
-            em = _BatchedEM(
-                X[:, 0],
-                self.n_components,
-                tol=self.tol,
-                max_iter=self.max_iter,
-                reg_covar=self.reg_covar,
-                plan=plan,
-            )
+            em = self._engine(*_unique_grid(X[:, 0]))
             out_w, out_mu, out_var, bounds, n_iters, converged = em.run(
                 weights[None].copy(), means[:, 0][None].copy(), covariances[:, 0, 0][None].copy()
             )

@@ -106,8 +106,10 @@ class TestEmbedderCaching:
 
         monkeypatch.setattr(fitted.gmm_, "predict_proba", counting)
         M = fitted.mean_probabilities(corpus)
-        # Six duplicates + one distinct column -> 25 + 10 values scored, once.
-        assert sum(calls) == 35
+        # Six duplicates + one distinct column -> 25 + 10 values reach the
+        # scorer once; the scorer then sees each distinct value once, and
+        # the two columns share one value (5.0), so 34 values are scored.
+        assert sum(calls) == 34
         assert np.allclose(M[:6], M[0])
 
     def test_second_transform_hits_cache(self, fitted, tiny_corpus, monkeypatch):

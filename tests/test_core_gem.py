@@ -103,6 +103,10 @@ class TestFitTransform:
         gem = GemEmbedder(17)
         assert gem.config.n_components == 17
 
+    def test_positional_config_rejected_with_hint(self):
+        with pytest.raises(TypeError, match="config="):
+            GemEmbedder(GemConfig(n_components=4))
+
     def test_deterministic(self, tiny_corpus_module):
         a = GemEmbedder(config=GemConfig.fast(**FAST)).fit_transform(tiny_corpus_module)
         b = GemEmbedder(config=GemConfig.fast(**FAST)).fit_transform(tiny_corpus_module)
